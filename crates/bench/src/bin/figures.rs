@@ -11,14 +11,15 @@
 //! * `--quick`        10x smaller datasets, fewer queries (smoke run)
 //! * `--queries N`    queries per workload cell (default 100, paper's value)
 //! * `--csv DIR`      also write one CSV per experiment into DIR
-//! * `--json PATH`    write every table plus the packed-vs-arena throughput
+//! * `--json PATH`    write every table plus the arena-vs-packed throughput
 //!   cells as one machine-readable JSON document (the perf-trajectory
 //!   format; `BENCH_baseline.json` at the repo root is a checked-in
 //!   `--quick --json` run)
 //!
 //! Experiments: the paper figures (`fig5_1`..`fig5_7`), the `ablations`,
 //! and `throughput` — steady-state queries/sec of the zero-allocation hot
-//! path on the packed snapshot vs. the arena tree (same node accesses).
+//! path on the packed snapshot (SoA pages) vs. the arena tree (AoS pages):
+//! one engine, two storage formats, same node accesses.
 //!
 //! Absolute numbers will not match a 2004 Pentium with real disks; the
 //! *shapes* (who wins, growth trends, blow-ups) are the reproduction target.
@@ -71,8 +72,8 @@ impl Report {
     }
 }
 
-/// The packed-vs-arena throughput experiment (the perf trajectory's
-/// headline metric; see `EXPERIMENTS.md`).
+/// The arena-vs-packed storage throughput experiment (see
+/// `EXPERIMENTS.md`).
 fn run_throughput_experiment(opts: &Options, report: &mut Report) {
     if !opts.experiments.contains("throughput") {
         return;

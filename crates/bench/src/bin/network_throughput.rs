@@ -1,6 +1,6 @@
-//! The road-network serving experiment: arena vs packed (CSR snapshot +
-//! reusable scratch) for NET-TA and NET-IER over a group-size sweep, then
-//! the fixed-seed trip workload served through `Service::start_network` at
+//! The road-network serving experiment: NET-TA and NET-IER on a CSR
+//! snapshot with a reusable scratch over a group-size sweep, then the
+//! fixed-seed trip workload served through `Service::start_network` at
 //! 1/2/8 workers plus a batched-submission cell.
 //!
 //! ```text
@@ -10,14 +10,12 @@
 //!
 //! Flags:
 //! * `--quick`      smaller network + workload (smoke / CI run)
-//! * `--json PATH`  write the `gnn-network-bench/1` report (the committed
+//! * `--json PATH`  write the `gnn-network-bench/2` report (the committed
 //!   `BENCH_network.json` at the repo root is a `--quick --json` run)
 //!
-//! The exit code gates equivalence and the refactor's perf claim: packed
-//! results bit-identical to the arena reference (neighbor ids, distance
-//! bits, expansion counters), every service cell bit-identical to the
-//! sequential packed reference on every worker count, and packed not
-//! slower than arena at the largest group size.
+//! The exit code gates equivalence: every sweep result carries the
+//! Dijkstra oracle's distance bits, and every service cell is
+//! bit-identical to the sequential reference on every worker count.
 
 use gnn_bench::run_network_throughput;
 
@@ -62,30 +60,28 @@ fn main() {
         report.k,
         report.host_parallelism
     );
-    println!("-- arena vs packed (group-size sweep; crossover read off the columns) --");
+    println!("-- group-size sweep (crossover read off the columns) --");
     println!(
-        "{:<10} {:>4} {:>12} {:>12} {:>8} {:>10} {:>10} {:>9}",
-        "algo", "n", "arena q/s", "packed q/s", "speedup", "settled/q", "relaxed/q", "rtree/q"
+        "{:<10} {:>4} {:>12} {:>10} {:>10} {:>9}",
+        "algo", "n", "q/s", "settled/q", "relaxed/q", "rtree/q"
     );
     for c in &report.algo_cells {
         println!(
-            "{:<10} {:>4} {:>12.0} {:>12.0} {:>7.2}x {:>10.1} {:>10.1} {:>9.1}{}",
+            "{:<10} {:>4} {:>12.0} {:>10.1} {:>10.1} {:>9.1}{}",
             c.algo,
             c.n,
-            c.arena_qps,
-            c.packed_qps,
-            c.speedup,
+            c.qps,
             c.settled_per_query,
             c.relaxed_per_query,
             c.rtree_per_query,
-            if c.matches_arena { "" } else { "  MISMATCH" }
+            if c.matches_oracle { "" } else { "  MISMATCH" }
         );
     }
     println!("-- trip workload through Service::start_network --");
     println!("{:<20} {:>12} {:>10}", "config", "q/s", "vs seq");
     println!(
         "{:<20} {:>12.0} {:>10}",
-        "sequential packed", report.sequential_qps, "-"
+        "sequential", report.sequential_qps, "-"
     );
     for c in &report.service_cells {
         println!(
@@ -112,8 +108,8 @@ fn main() {
     }
     if !report.gate_passes() {
         eprintln!(
-            "[network_throughput] GATE FAILED: packed/arena or service/sequential \
-             equivalence violated, or packed slower than arena at the largest group size"
+            "[network_throughput] GATE FAILED: oracle or service/sequential \
+             equivalence violated"
         );
         std::process::exit(1);
     }

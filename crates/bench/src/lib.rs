@@ -218,7 +218,8 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// One packed-vs-arena throughput measurement (the perf-trajectory metric).
+/// One arena-vs-packed storage throughput measurement (the perf-trajectory
+/// metric): the same engine over AoS arena pages and SoA snapshot pages.
 #[derive(Debug, Clone)]
 pub struct ThroughputCell {
     /// Dataset name ("PP" / "TS").
@@ -231,9 +232,9 @@ pub struct ThroughputCell {
     pub area: f64,
     /// Neighbors retrieved.
     pub k: usize,
-    /// Steady-state queries/sec on the arena tree (reference engine).
+    /// Steady-state queries/sec on the arena tree (AoS pages).
     pub arena_qps: f64,
-    /// Steady-state queries/sec on the packed snapshot (optimized engine).
+    /// Steady-state queries/sec on the packed snapshot (SoA pages).
     pub packed_qps: f64,
     /// `packed_qps / arena_qps`.
     pub speedup: f64,
@@ -315,7 +316,7 @@ fn throughput_cell(
     }
 }
 
-/// The packed-vs-arena throughput experiment: MBM across `n`, `M` and `k`
+/// The arena-vs-packed storage throughput experiment: MBM across `n`, `M` and `k`
 /// plus one SPM and one MQM cell, on both datasets.
 ///
 /// Always runs at full dataset scale (the trees build in well under a
@@ -2526,46 +2527,40 @@ pub fn run_telemetry_overhead(quick: bool) -> TelemetryReport {
 }
 
 /// One (algorithm, group size) cell of the network experiment:
-/// arena-vs-packed throughput and the per-query expansion counters, with
-/// the packed run checked bit-for-bit against the arena reference.
+/// throughput and the per-query expansion counters, with every result
+/// checked against the Dijkstra oracle.
 #[derive(Debug, Clone)]
 pub struct NetworkAlgoCell {
     /// Algorithm name ("NET-TA" / "NET-IER").
     pub algo: String,
     /// Query group cardinality.
     pub n: usize,
-    /// Queries/sec of the arena (per-query-allocating) implementation.
-    pub arena_qps: f64,
-    /// Queries/sec of the packed scratch-threaded implementation.
-    pub packed_qps: f64,
-    /// `packed_qps / arena_qps` — the tentpole speedup claim.
-    pub speedup: f64,
+    /// Queries/sec through the packed snapshot and a reused scratch.
+    pub qps: f64,
     /// Mean Dijkstra-settled vertices per query.
     pub settled_per_query: f64,
     /// Mean edge relaxations per query.
     pub relaxed_per_query: f64,
     /// Mean Euclidean-filter R-tree accesses per query (0 for TA).
     pub rtree_per_query: f64,
-    /// Packed results bit-identical to arena: neighbor ids, distance bits,
-    /// and the settled/relaxed/candidate counters, every query.
-    pub matches_arena: bool,
+    /// Every query's result list carries the oracle's distance bits
+    /// ([`gnn_network::network_oracle`]: a full Dijkstra per query vertex).
+    pub matches_oracle: bool,
 }
 
 impl NetworkAlgoCell {
     fn to_json(&self) -> String {
         format!(
-            "{{\"algo\":{},\"n\":{},\"arena_qps\":{:.1},\"packed_qps\":{:.1},\
-             \"speedup\":{:.3},\"settled_per_query\":{:.1},\"relaxed_per_query\":{:.1},\
-             \"rtree_per_query\":{:.1},\"matches_arena\":{}}}",
+            "{{\"algo\":{},\"n\":{},\"qps\":{:.1},\
+             \"settled_per_query\":{:.1},\"relaxed_per_query\":{:.1},\
+             \"rtree_per_query\":{:.1},\"matches_oracle\":{}}}",
             json_str(&self.algo),
             self.n,
-            self.arena_qps,
-            self.packed_qps,
-            self.speedup,
+            self.qps,
             self.settled_per_query,
             self.relaxed_per_query,
             self.rtree_per_query,
-            self.matches_arena,
+            self.matches_oracle,
         )
     }
 }
@@ -2623,8 +2618,8 @@ pub struct NetworkReport {
     pub k: usize,
     /// `std::thread::available_parallelism()` of the recording host.
     pub host_parallelism: usize,
-    /// Group-size sweep: arena vs packed for both algorithms (the TA/IER
-    /// crossover is read off the per-`n` qps columns).
+    /// Group-size sweep over both algorithms (the TA/IER crossover is read
+    /// off the per-`n` qps columns).
     pub algo_cells: Vec<NetworkAlgoCell>,
     /// Queries/sec of the sequential packed reference at the service cell
     /// shape (the service cells' baseline).
@@ -2634,7 +2629,7 @@ pub struct NetworkReport {
 }
 
 impl NetworkReport {
-    /// The `gnn-network-bench/1` JSON document.
+    /// The `gnn-network-bench/2` JSON document.
     pub fn to_json(&self) -> String {
         let algos: Vec<String> = self
             .algo_cells
@@ -2647,7 +2642,7 @@ impl NetworkReport {
             .map(NetworkServiceCell::to_json)
             .collect();
         format!(
-            "{{\n\"schema\":\"gnn-network-bench/1\",\n\"quick\":{},\n\
+            "{{\n\"schema\":\"gnn-network-bench/2\",\n\"quick\":{},\n\
              \"grid\":[{},{}],\n\"vertices\":{},\n\"edges\":{},\n\"data_objects\":{},\n\
              \"queries\":{},\n\"k\":{},\n\"host_parallelism\":{},\n\
              \"algorithms\":[\n{}\n],\n\
@@ -2668,30 +2663,22 @@ impl NetworkReport {
     }
 
     /// The acceptance gate (the `network_throughput` binary's exit code):
-    /// every packed cell bit-identical to the arena reference, every
-    /// service cell bit-identical to the sequential packed reference, and
-    /// the packed implementations not slower than the arena ones on the
-    /// largest group size (10% timing-noise margin — the refactor must not
-    /// cost throughput where it matters most).
+    /// every algorithm cell matches the Dijkstra oracle and every service
+    /// cell is bit-identical to the sequential reference.
     pub fn gate_passes(&self) -> bool {
-        let max_n = self.algo_cells.iter().map(|c| c.n).max().unwrap_or(0);
-        self.algo_cells.iter().all(|c| c.matches_arena)
+        self.algo_cells.iter().all(|c| c.matches_oracle)
             && self.service_cells.iter().all(|c| c.matches_sequential)
             && !self.algo_cells.is_empty()
             && !self.service_cells.is_empty()
-            && self
-                .algo_cells
-                .iter()
-                .filter(|c| c.n == max_n)
-                .all(|c| c.speedup >= 0.9)
     }
 }
 
 /// The road-network serving experiment behind `BENCH_network.json`: a
 /// perturbed grid road network with data objects on a seeded vertex
-/// subset, swept over query group sizes with both network algorithms —
-/// arena vs packed (`freeze` + `NetworkScratch`), bit-identity enforced —
-/// then the fixed-seed trip workload served through
+/// subset, swept over query group sizes with both network algorithms on a
+/// frozen snapshot (`freeze` + `NetworkScratch`), distance bits checked
+/// against the Dijkstra oracle — then the fixed-seed trip workload served
+/// through
 /// `Service::start_network` at 1/2/8 workers (singles and batches),
 /// bit-identity against the sequential packed reference enforced per cell.
 /// The per-`n` TA/IER columns record the crossover the planner's
@@ -2699,7 +2686,9 @@ impl NetworkReport {
 pub fn run_network_throughput(quick: bool) -> NetworkReport {
     use gnn_core::{NetworkQuery, Planner, QueryRequest, Target};
     use gnn_datasets::{trip_workload, TripSpec};
-    use gnn_network::{NetworkIer, NetworkScratch, NetworkSnapshot, NetworkTa, RoadNetwork};
+    use gnn_network::{
+        network_oracle, NetworkIer, NetworkScratch, NetworkSnapshot, NetworkTa, RoadNetwork,
+    };
     use gnn_service::{Service, ServiceConfig, Submission};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -2729,7 +2718,7 @@ pub fn run_network_throughput(quick: bool) -> NetworkReport {
             .expect("timed passes")
     };
 
-    // --- Group-size sweep: arena vs packed, TA and IER. ---
+    // --- Group-size sweep: TA and IER on the snapshot. ---
     let mut algo_cells = Vec::new();
     let mut scratch = NetworkScratch::new();
     for n in [2usize, 4, 8] {
@@ -2742,102 +2731,56 @@ pub fn run_network_throughput(quick: bool) -> NetworkReport {
             count,
             0xBEEF ^ n as u64,
         );
+        let oracle: Vec<Vec<u64>> = trips
+            .iter()
+            .map(|q| {
+                network_oracle(&network, &data, &q.sources, k, Aggregate::Sum)
+                    .iter()
+                    .map(|x| x.dist.to_bits())
+                    .collect()
+            })
+            .collect();
         for algo in ["NET-TA", "NET-IER"] {
-            // Reference pass: arena results + counters per query.
-            let mut matches = true;
-            let (mut settled, mut relaxed, mut rtree) = (0u64, 0u64, 0u64);
-            for q in &trips {
-                let arena = match algo {
-                    "NET-TA" => NetworkTa.k_gnn(&network, &data, &q.sources, k, Aggregate::Sum),
-                    _ => NetworkIer.k_gnn(&network, &data, &q.sources, k, Aggregate::Sum),
-                };
-                let (packed_out, packed_stats) = match algo {
-                    "NET-TA" => NetworkTa.k_gnn_in(
-                        &packed,
-                        &data,
-                        &q.sources,
-                        k,
-                        Aggregate::Sum,
-                        &mut scratch,
-                    ),
+            let run = |q: &gnn_datasets::TripQuery, scratch: &mut NetworkScratch| {
+                let (out, stats) = match algo {
+                    "NET-TA" => {
+                        NetworkTa.k_gnn_in(&packed, &data, &q.sources, k, Aggregate::Sum, scratch)
+                    }
                     _ => NetworkIer.k_gnn_in(
                         &packed,
                         backend.data_tree(),
                         &q.sources,
                         k,
                         Aggregate::Sum,
-                        &mut scratch,
+                        scratch,
                     ),
                 };
-                settled += packed_stats.settled_vertices;
-                relaxed += packed_stats.relaxed_edges;
-                rtree += packed_stats.rtree_accesses;
-                let same_neighbors = arena.neighbors.len() == packed_out.len()
-                    && arena.neighbors.iter().zip(packed_out).all(|(a, p)| {
-                        u64::from(a.vertex.0) == p.id.0 && a.dist.to_bits() == p.dist.to_bits()
-                    });
-                let a = arena.stats;
-                if !same_neighbors
-                    || a.settled_vertices != packed_stats.settled_vertices
-                    || a.relaxed_edges != packed_stats.relaxed_edges
-                    || a.euclidean_candidates != packed_stats.euclidean_candidates
-                    || a.rtree_accesses != packed_stats.rtree_accesses
-                {
-                    matches = false;
-                }
+                let bits: Vec<u64> = out.iter().map(|x| x.dist.to_bits()).collect();
+                (bits, stats)
+            };
+            // Equivalence pass: oracle distance bits + counters per query.
+            let mut matches = true;
+            let (mut settled, mut relaxed, mut rtree) = (0u64, 0u64, 0u64);
+            for (q, want) in trips.iter().zip(&oracle) {
+                let (bits, stats) = run(q, &mut scratch);
+                settled += stats.settled_vertices;
+                relaxed += stats.relaxed_edges;
+                rtree += stats.rtree_accesses;
+                matches &= bits == *want;
             }
-            // Timed passes: best of three each, arena first (its per-query
-            // allocations are the thing being measured against).
-            let arena_time = timed(3, &mut || {
+            let time = timed(3, &mut || {
                 for q in &trips {
-                    match algo {
-                        "NET-TA" => {
-                            NetworkTa.k_gnn(&network, &data, &q.sources, k, Aggregate::Sum);
-                        }
-                        _ => {
-                            NetworkIer.k_gnn(&network, &data, &q.sources, k, Aggregate::Sum);
-                        }
-                    }
+                    run(q, &mut scratch);
                 }
             });
-            let packed_time = timed(3, &mut || {
-                for q in &trips {
-                    match algo {
-                        "NET-TA" => {
-                            NetworkTa.k_gnn_in(
-                                &packed,
-                                &data,
-                                &q.sources,
-                                k,
-                                Aggregate::Sum,
-                                &mut scratch,
-                            );
-                        }
-                        _ => {
-                            NetworkIer.k_gnn_in(
-                                &packed,
-                                backend.data_tree(),
-                                &q.sources,
-                                k,
-                                Aggregate::Sum,
-                                &mut scratch,
-                            );
-                        }
-                    }
-                }
-            });
-            let arena_qps = count as f64 / arena_time.as_secs_f64();
-            let packed_qps = count as f64 / packed_time.as_secs_f64();
             algo_cells.push(NetworkAlgoCell {
                 algo: algo.into(),
                 n,
-                arena_qps,
-                packed_qps,
-                speedup: packed_qps / arena_qps,
+                qps: count as f64 / time.as_secs_f64(),
                 settled_per_query: settled as f64 / count as f64,
                 relaxed_per_query: relaxed as f64 / count as f64,
                 rtree_per_query: rtree as f64 / count as f64,
-                matches_arena: matches,
+                matches_oracle: matches,
             });
         }
     }

@@ -20,9 +20,9 @@
 //! F-MQM needs (§4.2), and also how `k` can remain unknown in advance.
 //!
 //! The hot path is allocation-free in steady state: node scans run through
-//! the batched `mindist²` kernels of the cursor's [`PageRef`] view
-//! (vectorized on packed snapshots), and all per-query storage — the
-//! best-first heap, the bound buffer, the result list — lives in a
+//! the batched `mindist²` kernels of the cursor's [`PageRef`] view, leaves
+//! enter the best-first heap as sorted runs, and all per-query storage —
+//! the heap, the bound buffers, the runs, the result list — lives in a
 //! reusable [`MbmScratch`] / [`crate::QueryScratch`].
 
 use crate::best_list::KBestList;
@@ -40,7 +40,7 @@ use std::time::Instant;
 /// paper-scale workloads without a single regrowth.
 const STREAM_HEAP_CAPACITY: usize = 256;
 
-/// How many pending leaf-run points the packed engine converts to exact
+/// How many pending leaf-run points the stream converts to exact
 /// distances per batch. Conversion keys only rise (approx → exact), so the
 /// node-access trace is unaffected; batching merely amortises the kernel
 /// and the run bookkeeping over 16 points.
@@ -271,7 +271,7 @@ impl MemoryGnnAlgorithm for Mbm {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct StreamItem {
     key: OrderedF64,
-    /// Exact points (2) pop before approximations (1) and nodes (0) on ties,
+    /// Exact points pop before runs and runs before nodes on ties,
     /// surfacing results as early as possible.
     kind: StreamKind,
 }
@@ -279,18 +279,16 @@ pub(crate) struct StreamItem {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum StreamKind {
     Node(PageId),
-    /// A data point keyed by its cheap bound; its exact distance is computed
-    /// lazily if and when it reaches the top (the paper's `mindist(p, M)`
-    /// filter: points pruned before that never pay the `n`-distance
-    /// computation).
-    PointApprox(LeafEntry),
     /// A data point keyed by its exact aggregate distance.
     PointExact(LeafEntry),
-    /// Packed engine only: a whole leaf's entries, key-sorted ascending in
-    /// [`MbmScratch::runs`], represented in the heap by its unconsumed head
-    /// (one heap item per leaf instead of one per entry). Popping consumes
-    /// the head — equivalent to popping that entry's `PointApprox` — and
-    /// re-inserts the run keyed by the next entry.
+    /// A whole leaf's entries keyed by a lower bound on their aggregate
+    /// distance (the paper's `mindist(p, M)` filter, for SUM strengthened
+    /// with the anchor bound), key-sorted ascending in
+    /// [`MbmScratch::runs`] and represented in the heap by its unconsumed
+    /// head — one heap item per leaf instead of one per entry. Popping
+    /// converts a chunk starting at the head to exact distances (points
+    /// never reached never pay the `n`-distance computation) and re-inserts
+    /// the run keyed by its next entry.
     Run(u32),
 }
 
@@ -305,7 +303,6 @@ impl Ord for StreamItem {
         fn rank(k: &StreamKind) -> (u8, u64) {
             match k {
                 StreamKind::PointExact(e) => (0, e.id.0),
-                StreamKind::PointApprox(e) => (1, e.id.0),
                 StreamKind::Run(rid) => (1, u64::from(*rid)),
                 StreamKind::Node(p) => (2, u64::from(p.raw())),
             }
@@ -326,13 +323,9 @@ pub struct MbmScratch {
     bounds: Vec<f64>,
     bounds2: Vec<f64>,
     bounds3: Vec<f64>,
-    /// Whether the stream runs the packed fast path (sorted runs, batched
-    /// kernels, anchor keys) or the seed's reference mechanics.
-    fast: bool,
-    /// Packed-engine anchor `(c, dist(c, Q))` for the strengthened point
-    /// keys (SUM only); `None` on the reference (arena) path.
+    /// Anchor `(c, dist(c, Q))` of the strengthened point keys (SUM only).
     anchor: Option<(Point, f64)>,
-    /// Sorted leaf runs (packed engine): per-run `(key, entry)` ascending.
+    /// Sorted leaf runs: per-run `(key, entry)` ascending.
     runs: Vec<Vec<(f64, LeafEntry)>>,
     /// Consumption cursor of each run.
     run_pos: Vec<usize>,
@@ -349,7 +342,6 @@ impl MbmScratch {
             bounds: Vec::with_capacity(64),
             bounds2: Vec::with_capacity(64),
             bounds3: Vec::with_capacity(64),
-            fast: false,
             anchor: None,
             runs: Vec::new(),
             run_pos: Vec::new(),
@@ -407,7 +399,6 @@ impl MbmScratch {
         self.bounds.clear();
         self.bounds2.clear();
         self.bounds3.clear();
-        self.fast = false;
         self.anchor = None;
         self.free_runs.clear();
         for i in 0..self.runs.len() {
@@ -498,17 +489,13 @@ impl<'t, 'c, 'g, 's> MbmStream<'t, 'c, 'g, 's> {
         let s = scratch.get();
         s.reset();
         if !cursor.is_empty() {
-            // Packed snapshots run the read-optimized engine: batched
-            // kernels, sorted leaf runs, and — for SUM — point keys
-            // strengthened with the Lemma-1 anchor bound
-            // `W·|p c| − dist(c, Q)` (a valid lower bound for any anchor
-            // `c`, by the triangle inequality). None of this steers node
-            // expansion — a node is read iff its own key beats the k-th
-            // result distance — so node accesses stay identical to the
-            // arena reference path; the fast path only reduces per-point
-            // CPU and priority-queue traffic.
-            s.fast = cursor.is_packed();
-            if s.fast && group.aggregate() == Aggregate::Sum {
+            // For SUM, point keys are strengthened with the Lemma-1 anchor
+            // bound `W·|p c| − dist(c, Q)` (a valid lower bound for any
+            // anchor `c`, by the triangle inequality). Point keys never
+            // steer node expansion — a node is read iff its own key beats
+            // the k-th result distance — so they cut per-point CPU and
+            // priority-queue traffic without changing node accesses.
+            if group.aggregate() == Aggregate::Sum {
                 let c = group.mbr().center();
                 s.anchor = Some((c, group.dist(c)));
                 s.dist_computations += group.len() as u64;
@@ -559,21 +546,13 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
                         dist: item.key.get(),
                     });
                 }
-                StreamKind::PointApprox(e) => {
-                    let dist = group.dist(e.point);
-                    s.dist_computations += group.len() as u64;
-                    s.heap.push(Reverse(StreamItem {
-                        key: OrderedF64(dist),
-                        kind: StreamKind::PointExact(e),
-                    }));
-                }
                 StreamKind::Run(rid) => {
                     // The run's head is the global heap minimum: consume a
-                    // chunk starting at it (equivalent to popping those
-                    // entries' `PointApprox` items — exact keys only rise,
-                    // so order and node accesses are unaffected), convert
-                    // the chunk through the batched distance kernel, and
-                    // re-insert the run keyed by its next entry.
+                    // chunk starting at it (exact keys only rise above the
+                    // bounds they replace, so order and node accesses are
+                    // unaffected), convert the chunk through the batched
+                    // distance kernel, and re-insert the run keyed by its
+                    // next entry.
                     let ri = rid as usize;
                     let pos = s.run_pos[ri];
                     let end = (pos + CONVERT_CHUNK).min(s.runs[ri].len());
@@ -611,11 +590,10 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
                     }
                 }
                 StreamKind::Node(id) => match cursor.read(id) {
-                    PageRef::Leaf(leaf) if s.fast => {
-                        // Packed engine: batched mindist²(p, M) (and |p c|²
-                        // to the anchor) over the whole page, keys sorted
-                        // into a run — one heap item per leaf instead of
-                        // one per entry.
+                    PageRef::Leaf(leaf) => {
+                        // Batched mindist²(p, M) (and |p c|² to the anchor)
+                        // over the whole page, keys sorted into a run — one
+                        // heap item per leaf instead of one per entry.
                         leaf.mindist_sq_rect_into(&group.mbr(), &mut s.bounds);
                         s.dist_computations += leaf.len() as u64;
                         let rid = s.alloc_run();
@@ -653,23 +631,10 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
                             s.free_runs.push(rid);
                         }
                     }
-                    PageRef::Leaf(leaf) => {
-                        // Reference (arena) engine: the seed's flow — one
-                        // `mindist(p, M)` filter key per entry, pushed
-                        // individually.
-                        for &e in leaf.entries() {
-                            let key = group.cheap_bound_point(e.point);
-                            s.dist_computations += 1;
-                            s.heap.push(Reverse(StreamItem {
-                                key: OrderedF64(key),
-                                kind: StreamKind::PointApprox(e),
-                            }));
-                        }
-                    }
-                    PageRef::Internal(view) if s.fast => {
-                        // Packed engine: batched mindist²(N, M) over the
-                        // whole page; the tight bound (n distances) through
-                        // the fused SoA kernel.
+                    PageRef::Internal(view) => {
+                        // Batched mindist²(N, M) over the whole page; the
+                        // tight bound (n distances) through the fused SoA
+                        // kernel.
                         view.mindist_sq_rect_into(&group.mbr(), &mut s.bounds);
                         s.dist_computations += view.len() as u64;
                         for i in 0..view.len() {
@@ -683,24 +648,6 @@ impl Iterator for MbmStream<'_, '_, '_, '_> {
                             s.heap.push(Reverse(StreamItem {
                                 key: OrderedF64(key),
                                 kind: StreamKind::Node(view.child(i)),
-                            }));
-                        }
-                    }
-                    PageRef::Internal(view) => {
-                        // Reference engine: the seed's scalar per-branch
-                        // bounds.
-                        for (mbr, child) in view.iter() {
-                            let cheap = group.cheap_bound_rect(&mbr);
-                            s.dist_computations += 1;
-                            let key = if use_tight {
-                                s.dist_computations += group.len() as u64;
-                                cheap.max(group.tight_bound_rect_reference(&mbr))
-                            } else {
-                                cheap
-                            };
-                            s.heap.push(Reverse(StreamItem {
-                                key: OrderedF64(key),
-                                kind: StreamKind::Node(child),
                             }));
                         }
                     }

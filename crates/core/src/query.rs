@@ -189,9 +189,8 @@ impl QueryGroup {
     ///
     /// The SUM fold is sequential over the cached SoA mirror, which makes
     /// every result **bit-identical** to the multi-point conversion kernel
-    /// ([`QueryGroup::dist_many`]) and to the seed's
-    /// [`QueryGroup::dist_reference`] — so results never depend on which
-    /// engine computed them.
+    /// ([`QueryGroup::dist_many`]) and to the sequential-fold oracle
+    /// [`QueryGroup::dist_reference`] (pinned by the property suite).
     pub fn dist(&self, p: Point) -> f64 {
         use gnn_geom::batch;
         match self.aggregate {
@@ -211,8 +210,8 @@ impl QueryGroup {
 
     /// Exact aggregate distances for a batch of points in SoA form:
     /// `out[j] = dist(p_j, Q)`, bit-identical per element to
-    /// [`QueryGroup::dist`] but vectorized across the batch. The packed
-    /// engine converts pending leaf-run points 16 at a time through this.
+    /// [`QueryGroup::dist`] but vectorized across the batch. MBM's stream
+    /// converts pending leaf-run points 16 at a time through this.
     pub fn dist_many(&self, xs: &[f64], ys: &[f64], out: &mut Vec<f64>) {
         use gnn_geom::batch;
         match self.aggregate {
@@ -296,11 +295,11 @@ impl QueryGroup {
         }
     }
 
-    /// The seed's sequential-fold implementation of
-    /// [`QueryGroup::tight_bound_rect`], kept bit-for-bit as the reference:
-    /// the arena query engine prunes with it, and the property suite uses it
-    /// as the oracle for the batched kernel (which reassociates the
-    /// floating-point sum and may differ in the last ulps).
+    /// Sequential-fold implementation of [`QueryGroup::tight_bound_rect`]:
+    /// one `mindist` per query point, folded in point order. The batched
+    /// kernel keeps that association order, so the two are
+    /// **bit-identical**; the property suite uses this as the kernel's
+    /// oracle.
     pub fn tight_bound_rect_reference(&self, rect: &Rect) -> f64 {
         let mut acc = self.aggregate.identity();
         for (i, q) in self.points.iter().enumerate() {
@@ -311,9 +310,8 @@ impl QueryGroup {
         acc
     }
 
-    /// The seed's sequential-fold implementation of [`QueryGroup::dist`]
-    /// (reference semantics; oracle for the batched distance kernel in the
-    /// property suite).
+    /// Sequential-fold implementation of [`QueryGroup::dist`]: the
+    /// property suite's bitwise oracle for the distance kernels.
     pub fn dist_reference(&self, p: Point) -> f64 {
         let mut acc = self.aggregate.identity();
         for (i, q) in self.points.iter().enumerate() {

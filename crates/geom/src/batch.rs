@@ -156,10 +156,9 @@ pub mod scalar {
     ///
     /// The fold is deliberately **sequential**, making the result
     /// bit-identical to the scalar reference
-    /// (`Σ w_i · Rect::mindist_point(q_i)` evaluated in order). Node keys
-    /// computed through this kernel therefore match the reference engine's
-    /// exactly, which is what lets the property suite pin packed-vs-arena
-    /// node accesses with strict equality.
+    /// (`Σ w_i · Rect::mindist_point(q_i)` evaluated in order), which the
+    /// property suite pins against `QueryGroup::tight_bound_rect_reference`
+    /// with strict equality.
     ///
     /// # Panics
     ///

@@ -4,13 +4,13 @@
 //! of vertices; `dist_N(p, Q)` aggregates *shortest-path* distances. Both
 //! algorithms are exact and are tested against [`network_oracle`].
 
-use crate::dijkstra::{single_source_distances, DijkstraStream};
+use crate::dijkstra::single_source_distances;
 use crate::graph::{RoadNetwork, VertexId};
 use crate::packed::PackedGraph;
 use crate::scratch::{DijkstraState, NetworkScratch};
 use gnn_core::{Aggregate, KBestList, MbmStream, Neighbor, QueryGroup};
 use gnn_geom::PointId;
-use gnn_rtree::{LeafEntry, PackedRTree, RTree, RTreeParams, TreeCursor};
+use gnn_rtree::{PackedRTree, TreeCursor};
 use std::time::{Duration, Instant};
 
 /// One network group nearest neighbor.
@@ -22,9 +22,8 @@ pub struct NetworkNeighbor {
     pub dist: f64,
 }
 
-/// Cost counters of one network GNN query — shared by the arena results
-/// ([`NetworkGnnResult::stats`]) and the packed `k_gnn_in` entry points,
-/// and the quantities the service-level bit-identity gates compare.
+/// Cost counters of one network GNN query — the quantities the
+/// service-level bit-identity gates compare.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NetworkGnnStats {
     /// Vertices settled across all Dijkstra expansions (the I/O proxy of
@@ -40,16 +39,6 @@ pub struct NetworkGnnStats {
     pub elapsed: Duration,
 }
 
-/// Result and cost counters of a network GNN query (arena entry points;
-/// the packed variants return borrowed neighbors + [`NetworkGnnStats`]).
-#[derive(Debug, Clone, Default)]
-pub struct NetworkGnnResult {
-    /// Up to `k` neighbors in ascending aggregate network distance.
-    pub neighbors: Vec<NetworkNeighbor>,
-    /// Cost counters.
-    pub stats: NetworkGnnStats,
-}
-
 fn neighbors_from(best: KBestList) -> Vec<NetworkNeighbor> {
     best.into_sorted()
         .into_iter()
@@ -60,63 +49,9 @@ fn neighbors_from(best: KBestList) -> Vec<NetworkNeighbor> {
         .collect()
 }
 
+/// Folds the network distances from every query vertex to `v` (expanding
+/// each Dijkstra state as far as needed) into the aggregate.
 fn aggregate_over_queries(
-    streams: &mut [DijkstraStream<'_>],
-    v: VertexId,
-    aggregate: Aggregate,
-) -> f64 {
-    let mut acc = aggregate.identity();
-    for s in streams.iter_mut() {
-        let d = s.distance_to(v).unwrap_or(f64::INFINITY);
-        acc = aggregate.fold(acc, d);
-        if acc.is_infinite() && aggregate != Aggregate::Min {
-            // Unreachable from some query point: Sum/Max can never recover.
-            return f64::INFINITY;
-        }
-    }
-    acc
-}
-
-/// Runs stream `si` until `v` settles, keeping the bookkeeping coherent:
-/// every vertex the probe settles updates the stream's threshold, and data
-/// vertices it sweeps past are queued for evaluation (otherwise they would
-/// silently escape the search — the subtle bug of naive TA-over-networks).
-#[allow(clippy::too_many_arguments)]
-fn probe(
-    streams: &mut [DijkstraStream<'_>],
-    si: usize,
-    v: VertexId,
-    thresholds: &mut [f64],
-    live: &mut [bool],
-    is_data: &[bool],
-    pending: &mut Vec<VertexId>,
-) -> Option<f64> {
-    if let Some(d) = streams[si].settled_distance(v) {
-        return Some(d);
-    }
-    loop {
-        match streams[si].next() {
-            None => {
-                thresholds[si] = f64::INFINITY;
-                live[si] = false;
-                return None;
-            }
-            Some((u, d)) => {
-                thresholds[si] = d;
-                if is_data[u.index()] {
-                    pending.push(u);
-                }
-                if u == v {
-                    return Some(d);
-                }
-            }
-        }
-    }
-}
-
-/// [`aggregate_over_queries`] against packed Dijkstra states — identical
-/// fold order, so aggregates carry the same floating-point bits.
-fn aggregate_over_queries_packed(
     graph: &PackedGraph,
     states: &mut [DijkstraState],
     v: VertexId,
@@ -134,12 +69,14 @@ fn aggregate_over_queries_packed(
     acc
 }
 
-/// [`probe`] against packed Dijkstra states: runs stream `si` until `v`
-/// settles, updating thresholds and sweeping data vertices into `pending`.
-/// The epoch-stamped `data_epoch` set replaces the arena's `is_data` bool
-/// array (stamp equality = member).
+/// Runs stream `si` until `v` settles, keeping the bookkeeping coherent:
+/// every vertex the probe settles updates the stream's threshold, and data
+/// vertices it sweeps past are queued for evaluation (otherwise they would
+/// silently escape the search — the subtle bug of naive TA-over-networks).
+/// Data membership is the epoch-stamped `data_epoch` set (stamp equality =
+/// member).
 #[allow(clippy::too_many_arguments)]
-fn probe_packed(
+fn probe(
     graph: &PackedGraph,
     states: &mut [DijkstraState],
     si: usize,
@@ -211,117 +148,10 @@ pub fn network_oracle(
 pub struct NetworkTa;
 
 impl NetworkTa {
-    /// Runs the query. Data vertices unreachable from any query vertex are
-    /// excluded (their SUM/MAX aggregate is infinite).
-    pub fn k_gnn(
-        &self,
-        graph: &RoadNetwork,
-        data: &[VertexId],
-        query: &[VertexId],
-        k: usize,
-        aggregate: Aggregate,
-    ) -> NetworkGnnResult {
-        assert!(!query.is_empty(), "query group must be non-empty");
-        let t0 = Instant::now();
-        let mut is_data = vec![false; graph.vertex_count()];
-        for &v in data {
-            is_data[v.index()] = true;
-        }
-        let mut streams: Vec<DijkstraStream<'_>> = query
-            .iter()
-            .map(|&q| DijkstraStream::new(graph, q))
-            .collect();
-        let mut evaluated = vec![false; graph.vertex_count()];
-        let mut thresholds = vec![0.0f64; query.len()];
-        let mut best = KBestList::new(k);
-        let mut live = vec![true; query.len()];
-        let mut pending: Vec<VertexId> = Vec::new();
-
-        'outer: loop {
-            let mut progressed = false;
-            for si in 0..streams.len() {
-                // Drain candidates discovered so far (including those swept
-                // up by probes) before judging the termination threshold.
-                while let Some(v) = pending.pop() {
-                    if evaluated[v.index()] {
-                        continue;
-                    }
-                    evaluated[v.index()] = true;
-                    let mut acc = aggregate.identity();
-                    let mut reachable = true;
-                    for pi in 0..streams.len() {
-                        match probe(
-                            &mut streams,
-                            pi,
-                            v,
-                            &mut thresholds,
-                            &mut live,
-                            &is_data,
-                            &mut pending,
-                        ) {
-                            Some(d) => acc = aggregate.fold(acc, d),
-                            None => {
-                                if aggregate != Aggregate::Min {
-                                    reachable = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if reachable && acc.is_finite() {
-                        best.offer(Neighbor {
-                            id: PointId(u64::from(v.0)),
-                            point: graph.position(v),
-                            dist: acc,
-                        });
-                    }
-                }
-                let t = aggregate.aggregate(thresholds.iter().copied());
-                if t >= best.bound() {
-                    break 'outer;
-                }
-                if !live[si] {
-                    continue;
-                }
-                // Advance stream si by one settled vertex.
-                match streams[si].next() {
-                    None => {
-                        // Stream exhausted: every reachable vertex settled.
-                        // No unseen vertex can appear through this stream.
-                        thresholds[si] = f64::INFINITY;
-                        live[si] = false;
-                    }
-                    Some((v, d)) => {
-                        progressed = true;
-                        thresholds[si] = d;
-                        if is_data[v.index()] && !evaluated[v.index()] {
-                            pending.push(v);
-                        }
-                    }
-                }
-            }
-            if !progressed && pending.is_empty() {
-                break;
-            }
-        }
-
-        NetworkGnnResult {
-            neighbors: neighbors_from(best),
-            stats: NetworkGnnStats {
-                settled_vertices: streams.iter().map(|s| s.settled_count() as u64).sum(),
-                relaxed_edges: streams.iter().map(|s| s.relaxed_edges()).sum(),
-                euclidean_candidates: 0,
-                rtree_accesses: 0,
-                elapsed: t0.elapsed(),
-            },
-        }
-    }
-
-    /// The packed, scratch-threaded variant: same mechanics as
-    /// [`NetworkTa::k_gnn`] against a [`PackedGraph`] snapshot, reusing
-    /// `scratch` (no `V`-sized allocations in steady state). Results and
-    /// expansion counters are **bit-identical** to the arena entry point on
-    /// the same graph — the equivalence proptests pin exactly that.
+    /// Runs the query against a [`PackedGraph`] snapshot, reusing
+    /// `scratch` (no `V`-sized allocations in steady state). Data vertices
+    /// unreachable from any query vertex are excluded (their SUM/MAX
+    /// aggregate is infinite).
     pub fn k_gnn_in<'s>(
         &self,
         graph: &PackedGraph,
@@ -368,7 +198,7 @@ impl NetworkTa {
                     let mut acc = aggregate.identity();
                     let mut reachable = true;
                     for pi in 0..states.len() {
-                        match probe_packed(
+                        match probe(
                             graph, states, pi, v, thresholds, live, data_epoch, epoch, pending,
                         ) {
                             Some(d) => acc = aggregate.fold(acc, d),
@@ -442,74 +272,12 @@ impl NetworkTa {
 pub struct NetworkIer;
 
 impl NetworkIer {
-    /// Runs the query.
-    pub fn k_gnn(
-        &self,
-        graph: &RoadNetwork,
-        data: &[VertexId],
-        query: &[VertexId],
-        k: usize,
-        aggregate: Aggregate,
-    ) -> NetworkGnnResult {
-        assert!(!query.is_empty(), "query group must be non-empty");
-        let t0 = Instant::now();
-        // Euclidean index over the data vertices (ids = vertex ids).
-        let tree = RTree::bulk_load(
-            RTreeParams::default(),
-            data.iter()
-                .map(|&v| LeafEntry::new(PointId(u64::from(v.0)), graph.position(v))),
-        );
-        let cursor = TreeCursor::unbuffered(&tree);
-        let group = QueryGroup::with_aggregate(
-            query.iter().map(|&q| graph.position(q)).collect(),
-            aggregate,
-        )
-        .expect("non-empty query group");
-
-        let mut streams: Vec<DijkstraStream<'_>> = query
-            .iter()
-            .map(|&q| DijkstraStream::new(graph, q))
-            .collect();
-        let mut best = KBestList::new(k);
-        let mut euclid_stream = MbmStream::new(&cursor, &group);
-        let mut candidates = 0u64;
-        for cand in euclid_stream.by_ref() {
-            // cand.dist is the Euclidean aggregate = a network lower bound.
-            if cand.dist >= best.bound() {
-                break;
-            }
-            candidates += 1;
-            let v = VertexId(cand.id.0 as u32);
-            let agg = aggregate_over_queries(&mut streams, v, aggregate);
-            if agg.is_finite() {
-                best.offer(Neighbor {
-                    id: cand.id,
-                    point: cand.point,
-                    dist: agg,
-                });
-            }
-        }
-
-        NetworkGnnResult {
-            neighbors: neighbors_from(best),
-            stats: NetworkGnnStats {
-                settled_vertices: streams.iter().map(|s| s.settled_count() as u64).sum(),
-                relaxed_edges: streams.iter().map(|s| s.relaxed_edges()).sum(),
-                euclidean_candidates: candidates,
-                rtree_accesses: cursor.stats().logical,
-                elapsed: t0.elapsed(),
-            },
-        }
-    }
-
-    /// The packed, scratch-threaded variant: the Euclidean filter runs over
-    /// a **prebuilt** frozen R\*-tree of the data vertices (`data_tree`,
-    /// ids = vertex ids — see `NetworkSnapshot`, which builds it once at
-    /// freeze time instead of per query), the MBM stream reuses the
-    /// scratch's `MbmScratch`, and refinement runs epoch-stamped packed
-    /// Dijkstra states. Results and counters are bit-identical to
-    /// [`NetworkIer::k_gnn`] when `data_tree` is the frozen image of the
-    /// arena tree that entry point builds (same bulk load, same order).
+    /// Runs the query against a [`PackedGraph`] snapshot. The Euclidean
+    /// filter runs over a **prebuilt** frozen R\*-tree of the data vertices
+    /// (`data_tree`, ids = vertex ids — see `NetworkSnapshot`, which builds
+    /// it once at freeze time instead of per query), the MBM stream reuses
+    /// the scratch's `MbmScratch`, and refinement runs epoch-stamped
+    /// Dijkstra states.
     pub fn k_gnn_in<'s>(
         &self,
         graph: &PackedGraph,
@@ -548,7 +316,7 @@ impl NetworkIer {
             }
             candidates += 1;
             let v = VertexId(cand.id.0 as u32);
-            let agg = aggregate_over_queries_packed(graph, states, v, aggregate);
+            let agg = aggregate_over_queries(graph, states, v, aggregate);
             if agg.is_finite() {
                 best.offer(Neighbor {
                     id: cand.id,
@@ -573,6 +341,7 @@ impl NetworkIer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::NetworkSnapshot;
     use gnn_geom::{Point, Rect};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -589,6 +358,36 @@ mod tests {
         picked.into_iter().map(VertexId).collect()
     }
 
+    /// NET-TA and NET-IER results (in that order) on a snapshot of `graph`.
+    fn run_both(
+        graph: &RoadNetwork,
+        data: &[VertexId],
+        query: &[VertexId],
+        k: usize,
+        aggregate: Aggregate,
+    ) -> [(Vec<Neighbor>, NetworkGnnStats); 2] {
+        let snapshot = NetworkSnapshot::new(graph.freeze(), data.to_vec());
+        let mut scratch = NetworkScratch::new();
+        let (got, stats) = NetworkTa.k_gnn_in(
+            snapshot.graph(),
+            snapshot.data(),
+            query,
+            k,
+            aggregate,
+            &mut scratch,
+        );
+        let ta = (got.to_vec(), stats);
+        let (got, stats) = NetworkIer.k_gnn_in(
+            snapshot.graph(),
+            snapshot.data_tree(),
+            query,
+            k,
+            aggregate,
+            &mut scratch,
+        );
+        [ta, (got.to_vec(), stats)]
+    }
+
     fn check_matches_oracle(
         graph: &RoadNetwork,
         data: &[VertexId],
@@ -597,9 +396,8 @@ mod tests {
         aggregate: Aggregate,
     ) {
         let want = network_oracle(graph, data, query, k, aggregate);
-        let ta = NetworkTa.k_gnn(graph, data, query, k, aggregate);
-        let ier = NetworkIer.k_gnn(graph, data, query, k, aggregate);
-        for (name, got) in [("TA", &ta.neighbors), ("IER", &ier.neighbors)] {
+        let [(ta, _), (ier, _)] = run_both(graph, data, query, k, aggregate);
+        for (name, got) in [("TA", &ta), ("IER", &ier)] {
             assert_eq!(got.len(), want.len(), "{name} {aggregate}");
             for (g, w) in got.iter().zip(&want) {
                 assert!(
@@ -646,11 +444,11 @@ mod tests {
             g.add_edge(w[0], w[1]);
         }
         let query = vec![vs[0], vs[4]];
-        let r = NetworkTa.k_gnn(&g, &vs, &query, 1, Aggregate::Max);
-        assert_eq!(r.neighbors[0].vertex, vs[2]);
-        assert_eq!(r.neighbors[0].dist, 2.0);
-        let r_sum = NetworkIer.k_gnn(&g, &vs, &query, 1, Aggregate::Sum);
-        assert_eq!(r_sum.neighbors[0].dist, 4.0);
+        let [(ta, _), _] = run_both(&g, &vs, &query, 1, Aggregate::Max);
+        assert_eq!(ta[0].id.0, u64::from(vs[2].0));
+        assert_eq!(ta[0].dist, 2.0);
+        let [_, (ier, _)] = run_both(&g, &vs, &query, 1, Aggregate::Sum);
+        assert_eq!(ier[0].dist, 4.0);
     }
 
     #[test]
@@ -692,12 +490,9 @@ mod tests {
         g.add_edge(island_a, island_b);
         let data = vec![VertexId(0), island_a];
         let query = vec![VertexId(5), VertexId(10)];
-        for algo_result in [
-            NetworkTa.k_gnn(&g, &data, &query, 2, Aggregate::Sum),
-            NetworkIer.k_gnn(&g, &data, &query, 2, Aggregate::Sum),
-        ] {
-            assert_eq!(algo_result.neighbors.len(), 1, "island must be excluded");
-            assert_eq!(algo_result.neighbors[0].vertex, VertexId(0));
+        for (got, _) in run_both(&g, &data, &query, 2, Aggregate::Sum) {
+            assert_eq!(got.len(), 1, "island must be excluded");
+            assert_eq!(got[0].id, PointId(0));
         }
     }
 
@@ -708,15 +503,14 @@ mod tests {
         let g = RoadNetwork::grid(20, 20, 0.2, 5);
         let data = sample_vertices(&g, 200, 6);
         let query = vec![VertexId(210), VertexId(211), VertexId(230)];
-        let r = NetworkIer.k_gnn(&g, &data, &query, 1, Aggregate::Sum);
+        let [(ta, _), (ier, ier_stats)] = run_both(&g, &data, &query, 1, Aggregate::Sum);
         assert!(
-            r.stats.euclidean_candidates < 60,
+            ier_stats.euclidean_candidates < 60,
             "refined {} of 200 candidates",
-            r.stats.euclidean_candidates
+            ier_stats.euclidean_candidates
         );
         // And it still matches TA.
-        let ta = NetworkTa.k_gnn(&g, &data, &query, 1, Aggregate::Sum);
-        assert!((r.neighbors[0].dist - ta.neighbors[0].dist).abs() < 1e-9);
+        assert!((ier[0].dist - ta[0].dist).abs() < 1e-9);
     }
 
     #[test]
@@ -724,11 +518,10 @@ mod tests {
         let g = RoadNetwork::grid(8, 8, 0.1, 7);
         let data = sample_vertices(&g, 20, 8);
         let query = sample_vertices(&g, 3, 9);
-        let ta = NetworkTa.k_gnn(&g, &data, &query, 2, Aggregate::Sum);
-        assert!(ta.stats.settled_vertices > 0);
-        assert!(ta.stats.relaxed_edges > 0);
-        let ier = NetworkIer.k_gnn(&g, &data, &query, 2, Aggregate::Sum);
-        assert!(ier.stats.rtree_accesses > 0);
-        assert!(ier.stats.euclidean_candidates > 0);
+        let [(_, ta), (_, ier)] = run_both(&g, &data, &query, 2, Aggregate::Sum);
+        assert!(ta.settled_vertices > 0);
+        assert!(ta.relaxed_edges > 0);
+        assert!(ier.rtree_accesses > 0);
+        assert!(ier.euclidean_candidates > 0);
     }
 }

@@ -12,7 +12,8 @@
 //! * [`DijkstraStream`] — *incremental* network expansion: vertices emerge
 //!   in ascending network distance from a source, the network analog of the
 //!   best-first NN stream;
-//! * two exact network-GNN algorithms over data points placed on vertices:
+//! * two exact network-GNN algorithms over data points placed on vertices,
+//!   both running on packed snapshots (below):
 //!   * [`NetworkTa`] — threshold algorithm / concurrent expansion: one
 //!     Dijkstra stream per query point, thresholds combine exactly like
 //!     MQM's;
@@ -22,12 +23,14 @@
 //!     aggregate distance because shortest paths are at least as long as
 //!     straight lines), then refined with exact network distances.
 //!
-//! Both are verified against a brute-force multi-source Dijkstra oracle.
+//! Both are verified against [`network_oracle`], a brute-force
+//! multi-source Dijkstra over the arena [`RoadNetwork`] — an implementation
+//! independent of the algorithms under test.
 //!
-//! ## Serving layer
+//! ## Snapshots
 //!
-//! The arena types above are built for construction and experimentation;
-//! serving goes through packed snapshots:
+//! [`RoadNetwork`] is the mutable builder; queries run on frozen
+//! snapshots:
 //!
 //! * [`PackedGraph`] — [`RoadNetwork::freeze`] lays the adjacency lists
 //!   into contiguous CSR arenas, mirrors positions into SoA arrays, and
@@ -50,9 +53,7 @@ mod packed;
 mod scratch;
 mod serve;
 
-pub use algorithms::{
-    network_oracle, NetworkGnnResult, NetworkGnnStats, NetworkIer, NetworkNeighbor, NetworkTa,
-};
+pub use algorithms::{network_oracle, NetworkGnnStats, NetworkIer, NetworkNeighbor, NetworkTa};
 pub use dijkstra::{shortest_path, DijkstraStream};
 pub use graph::{EdgeId, RoadNetwork, VertexId};
 pub use packed::PackedGraph;

@@ -13,9 +13,9 @@
 //!
 //! Adjacency order is preserved exactly, so the packed Dijkstra expansion
 //! relaxes edges in the same order as the arena
-//! [`DijkstraStream`](crate::DijkstraStream) — which is what lets the
-//! equivalence tests pin packed results **bit-identical** (distances and
-//! expansion counters) to the arena reference.
+//! [`DijkstraStream`](crate::DijkstraStream) behind the
+//! [`network_oracle`](crate::network_oracle) — which is what lets the
+//! tests pin network GNN distances **bit-identical** to the oracle.
 
 use crate::graph::{RoadNetwork, VertexId};
 use gnn_geom::{Point, PointId, Rect};

@@ -1,10 +1,9 @@
 //! Reusable per-query storage for packed network GNN — the network analog
 //! of `gnn_core::QueryScratch`.
 //!
-//! The arena algorithms allocate two `V`-sized arrays **per Dijkstra
-//! stream per query** (distances + settled flags) plus candidate
-//! bookkeeping. [`NetworkScratch`] hoists all of it into one reusable
-//! bundle: distance/settled arrays are *epoch-stamped* (a query bumps one
+//! A fresh Dijkstra expansion needs two `V`-sized arrays **per stream per
+//! query** (distances + settled flags) plus candidate bookkeeping.
+//! [`NetworkScratch`] hoists all of it into one reusable bundle: distance/settled arrays are *epoch-stamped* (a query bumps one
 //! counter instead of clearing `O(V)` memory), heaps and candidate buffers
 //! keep their capacity, and the Euclidean filter state (`MbmScratch`,
 //! `NnScratch`) rides along for IER and snapping. After a warm-up query at
@@ -26,7 +25,7 @@ use std::collections::BinaryHeap;
 /// packed, reusable counterpart of [`crate::DijkstraStream`]. Identical
 /// expansion mechanics (same heap keys, same relaxation order via the
 /// preserved adjacency order), so settled sequences, distances, and
-/// counters are bit-identical to the arena stream.
+/// counters are bit-identical to the arena stream the oracle runs.
 #[derive(Debug, Default)]
 pub(crate) struct DijkstraState {
     /// Tentative distances; valid only where `dist_epoch` matches `epoch`

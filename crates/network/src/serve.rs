@@ -30,9 +30,7 @@ pub struct NetworkSnapshot {
     graph: PackedGraph,
     data: Vec<VertexId>,
     /// Frozen Euclidean index over the data vertices (ids = vertex ids),
-    /// structurally identical to the per-query tree the arena IER builds
-    /// (same bulk load over the same entry order) — the anchor of the
-    /// packed-vs-arena counter equivalence.
+    /// bulk-loaded once in data-vertex order.
     data_tree: PackedRTree,
 }
 

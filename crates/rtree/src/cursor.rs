@@ -311,13 +311,6 @@ impl<'t> TreeCursor<'t> {
         Self::with_backend(Backend::Packed(tree), Some(LruBuffer::new(capacity)))
     }
 
-    /// Whether the cursor reads a packed snapshot (the read-optimized
-    /// backend; query engines may enable batched fast paths on it).
-    #[inline]
-    pub fn is_packed(&self) -> bool {
-        matches!(self.backend, Backend::Packed(_))
-    }
-
     /// Reads a page, recording the access.
     #[inline]
     pub fn read(&self, id: PageId) -> PageRef<'t> {

@@ -12,8 +12,9 @@
 //!
 //! The best-first heap is keyed by **squared** distance — squared values
 //! order identically, so the `sqrt` is paid only when an item is actually
-//! yielded — and node/leaf expansions run through the batched `mindist²`
-//! kernels (vectorized on packed snapshots). A [`NnScratch`] can be
+//! yielded — node expansions run through the batched `mindist²` kernels,
+//! and each expanded leaf becomes one sorted run in the heap (one item per
+//! leaf instead of one per entry). A [`NnScratch`] can be
 //! supplied via [`NearestNeighbors::new_in`] to reuse the heap and bound
 //! buffer across queries, making steady-state searches allocation-free.
 
@@ -48,19 +49,15 @@ struct BfItem {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum BfKind {
     Node(PageId),
-    Point(LeafEntry),
-    /// Packed engine only: a whole leaf's entries, sorted ascending by
-    /// exact squared distance in [`NnScratch::runs`], represented in the
-    /// heap by the key of its unconsumed head — one heap item per leaf
-    /// instead of one per entry. The head's key is already its exact
-    /// distance, so popping the run *emits the head directly* and
-    /// re-inserts the run keyed by its next entry; run entries never become
-    /// individual `Point` heap items. A run therefore behaves exactly like
-    /// the point at its head: rank 0 (at equal keys an exact data point
-    /// must pop before a node on both backends, or the packed engine would
-    /// expand tied nodes the arena engine never reads) and tie-broken by
-    /// the head's point id (so exact cross-leaf distance ties emit in the
-    /// same id order the arena engine produces).
+    /// A whole leaf's entries, sorted ascending by exact squared distance
+    /// in [`NnScratch::runs`], represented in the heap by the key of its
+    /// unconsumed head — one heap item per leaf instead of one per entry.
+    /// The head's key is already its exact distance, so popping the run
+    /// *emits the head directly* and re-inserts the run keyed by its next
+    /// entry. A run therefore behaves exactly like the data point at its
+    /// head: rank 0 (at equal keys a data point pops before a node, so tied
+    /// nodes are never expanded early) and tie-broken by the head's point
+    /// id (so exact cross-leaf distance ties emit in ascending id order).
     Run {
         /// Slot in [`NnScratch::runs`].
         rid: u32,
@@ -82,8 +79,7 @@ impl Ord for BfKind {
         fn key(k: &BfKind) -> (u8, u64) {
             match k {
                 BfKind::Node(p) => (1, u64::from(p.raw())),
-                BfKind::Point(e) => (0, e.id.0),
-                // A run stands for the point at its head: same tie class.
+                // A run stands for the point at its head.
                 BfKind::Run { head, .. } => (0, head.0),
             }
         }
@@ -99,11 +95,7 @@ impl Ord for BfKind {
 pub struct NnScratch {
     heap: BinaryHeap<Reverse<BfItem>>,
     bounds: Vec<f64>,
-    /// Whether the search backed by this scratch runs the packed fast path
-    /// (sorted leaf runs). Set when the search is seeded, preserved across
-    /// suspend/resume turns.
-    fast: bool,
-    /// Sorted leaf runs (packed engine): per-run `(dist², entry)` ascending.
+    /// Sorted leaf runs: per-run `(dist², entry)` ascending.
     runs: Vec<Vec<(f64, LeafEntry)>>,
     /// Consumption cursor of each run.
     run_pos: Vec<usize>,
@@ -117,7 +109,6 @@ impl NnScratch {
         NnScratch {
             heap: BinaryHeap::with_capacity(capacity),
             bounds: Vec::with_capacity(64),
-            fast: false,
             runs: Vec::new(),
             run_pos: Vec::new(),
             free_runs: Vec::new(),
@@ -162,7 +153,6 @@ impl NnScratch {
     fn reset(&mut self) {
         self.heap.clear();
         self.bounds.clear();
-        self.fast = false;
         self.free_runs.clear();
         for i in 0..self.runs.len() {
             self.free_runs.push(i as u32);
@@ -243,11 +233,6 @@ impl<'t, 'c, 's> NearestNeighbors<'t, 'c, 's> {
     ) -> NearestNeighbors<'t, 'c, 's> {
         let s = scratch.get();
         s.reset();
-        // Packed snapshots run the read-optimized engine: batched kernels
-        // plus sorted leaf runs (one heap item per leaf). Keys are exact on
-        // both paths, so results and node accesses are identical; the fast
-        // path only reduces per-point heap traffic.
-        s.fast = cursor.is_packed();
         if !cursor.is_empty() {
             s.heap.push(Reverse(BfItem {
                 dist_sq: OrderedF64(cursor.root_mbr().mindist_point_sq(query)),
@@ -287,12 +272,6 @@ impl Iterator for NearestNeighbors<'_, '_, '_> {
         let scratch = self.scratch.get();
         while let Some(Reverse(item)) = scratch.heap.pop() {
             match item.kind {
-                BfKind::Point(entry) => {
-                    return Some(PointNeighbor {
-                        entry,
-                        dist: item.dist_sq.get().sqrt(),
-                    });
-                }
                 BfKind::Run { rid, .. } => {
                     // The run's head is the global heap minimum and its key
                     // is already the exact squared distance (point NN has no
@@ -324,10 +303,10 @@ impl Iterator for NearestNeighbors<'_, '_, '_> {
                     });
                 }
                 BfKind::Node(id) => match cursor.read(id) {
-                    PageRef::Leaf(leaf) if scratch.fast => {
-                        // Packed engine: batched dist² over the whole page,
-                        // keys sorted into a run — one heap item per leaf
-                        // instead of one per entry.
+                    PageRef::Leaf(leaf) => {
+                        // Batched dist² over the whole page, keys sorted
+                        // into a run — one heap item per leaf instead of one
+                        // per entry.
                         leaf.dist_sq_into(query, &mut scratch.bounds);
                         let rid = scratch.alloc_run();
                         let ri = rid as usize;
@@ -352,18 +331,6 @@ impl Iterator for NearestNeighbors<'_, '_, '_> {
                             }));
                         } else {
                             scratch.free_runs.push(rid);
-                        }
-                    }
-                    PageRef::Leaf(leaf) => {
-                        // Reference (arena) engine: the seed's flow — every
-                        // entry pushed individually.
-                        leaf.dist_sq_into(query, &mut scratch.bounds);
-                        for (&e, &d2) in leaf.entries().iter().zip(&scratch.bounds) {
-                            scratch.heap.push(Reverse(BfItem {
-                                dist_sq: OrderedF64(d2),
-                                rank: 0,
-                                kind: BfKind::Point(e),
-                            }));
                         }
                     }
                     PageRef::Internal(view) => {
@@ -719,13 +686,12 @@ mod tests {
     }
 
     #[test]
-    fn cross_leaf_distance_ties_emit_in_arena_id_order() {
-        // Regression: runs tie-break by their head's point id, exactly like
-        // arena `Point` items. (6,8) and (8,6) are both at d²=100 from the
-        // origin but live in different leaves (each padded with neighbors
-        // so both leaves are expanded before the tie pops); with a run-id
-        // tie-break the packed engine emitted them in leaf-expansion order,
-        // returning a different 5th neighbor than the arena engine.
+    fn cross_leaf_distance_ties_emit_in_id_order() {
+        // Regression: runs tie-break by their head's point id. (6,8) and
+        // (8,6) are both at d²=100 from the origin but live in different
+        // leaves (each padded with neighbors so both leaves are expanded
+        // before the tie pops); with a run-id tie-break the engine emitted
+        // them in leaf-expansion order instead of ascending (d², id).
         let mut tree = RTree::new(RTreeParams::with_capacity(4));
         for (id, x, y) in [
             (20u64, 6.0, 8.0),
@@ -746,25 +712,25 @@ mod tests {
                 .map(|r| r.entry.id.0)
                 .collect()
         };
-        let arena_ids = ids(&TreeCursor::unbuffered(&tree));
-        let packed_ids = ids(&TreeCursor::packed(&packed));
-        assert_eq!(arena_ids, packed_ids, "tie order diverged across backends");
+        let mut want: Vec<(f64, u64)> = tree.iter().map(|e| (e.point.dist_sq(q), e.id.0)).collect();
+        want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let want: Vec<u64> = want.into_iter().map(|(_, id)| id).collect();
+        assert_eq!(ids(&TreeCursor::unbuffered(&tree)), want, "arena storage");
+        assert_eq!(ids(&TreeCursor::packed(&packed)), want, "packed storage");
     }
 
     #[test]
     fn duplicate_points_do_not_inflate_packed_node_accesses() {
         // Regression: run heap items must carry point rank (0). With node
         // rank they lose every distance tie to pending nodes, so a tree of
-        // duplicate points made the packed engine expand *every* tied leaf
-        // before emitting anything — node accesses above the arena
-        // reference. One internal level (8 points, capacity 4, k smaller
-        // than any leaf) isolates the run-vs-node tie: both backends must
-        // read exactly root + one leaf.
+        // duplicate points made the engine expand *every* tied leaf before
+        // emitting anything. One internal level (8 points, capacity 4, k
+        // smaller than any leaf) isolates the run-vs-node tie: both storage
+        // formats must read exactly root + one leaf.
         //
         // (On deeper trees, ties *between nodes* may still expand in
-        // different page-id order on the two backends — arena allocation
-        // vs BFS renumbering — which is a pre-existing property of exact
-        // ties, not of the run fast path.)
+        // different page-id order on the two formats — arena allocation vs
+        // BFS renumbering — which is a property of exact ties.)
         let mut tree = RTree::new(RTreeParams::with_capacity(4));
         for i in 0..8 {
             tree.insert(LeafEntry::new(PointId(i), Point::new(1.0, 1.0)));
@@ -781,7 +747,7 @@ mod tests {
         assert_eq!(
             packed_cursor.stats().logical,
             2,
-            "packed engine read extra tied nodes"
+            "packed storage read extra tied nodes"
         );
     }
 }

@@ -237,7 +237,7 @@ impl RefreshDriver {
 }
 
 impl Drop for RefreshDriver {
-    /// Dropping without [`RefreshDriver::shutdown`] closes the channel so
+    /// Dropping without [`RefreshDriver::join`] closes the channel so
     /// the thread drains and exits on its own; it is detached, not joined
     /// (drop must not block), and its outcome is discarded.
     fn drop(&mut self) {

@@ -10,7 +10,7 @@
 //! cargo run --example road_network
 //! ```
 
-use gnn::network::{NetworkIer, NetworkTa, RoadNetwork, VertexId};
+use gnn::network::{NetworkIer, NetworkScratch, NetworkSnapshot, NetworkTa, RoadNetwork, VertexId};
 use gnn::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,45 +40,57 @@ fn main() {
     .map(|&p| city.snap(p).expect("non-empty city"))
     .collect();
 
+    // Freeze the city into a serving snapshot: CSR graph, the café list,
+    // and an R-tree over the cafés (IER's Euclidean filter).
+    let snapshot = NetworkSnapshot::new(city.freeze(), cafes);
+    let mut scratch = NetworkScratch::new();
+    let mut network_sum = None;
     for agg in [Aggregate::Sum, Aggregate::Max] {
-        let ta = NetworkTa.k_gnn(&city, &cafes, &friends, 1, agg);
-        let ier = NetworkIer.k_gnn(&city, &cafes, &friends, 1, agg);
-        let best = &ta.neighbors[0];
-        assert!((best.dist - ier.neighbors[0].dist).abs() < 1e-9);
+        let (ta, ta_stats) = NetworkTa.k_gnn_in(
+            snapshot.graph(),
+            snapshot.data(),
+            &friends,
+            1,
+            agg,
+            &mut scratch,
+        );
+        let best = ta[0];
+        let (ier, ier_stats) = NetworkIer.k_gnn_in(
+            snapshot.graph(),
+            snapshot.data_tree(),
+            &friends,
+            1,
+            agg,
+            &mut scratch,
+        );
+        assert!((best.dist - ier[0].dist).abs() < 1e-9);
         println!(
             "\n[{agg}] meet at intersection v{} {} (walking aggregate {:.2})",
-            best.vertex.0,
-            city.position(best.vertex),
-            best.dist
+            best.id.0, best.point, best.dist
         );
         println!(
             "  TA : settled {} vertices, relaxed {} edges",
-            ta.stats.settled_vertices, ta.stats.relaxed_edges
+            ta_stats.settled_vertices, ta_stats.relaxed_edges
         );
         println!(
             "  IER: settled {} vertices, refined {} Euclidean candidates, {} R-tree accesses",
-            ier.stats.settled_vertices, ier.stats.euclidean_candidates, ier.stats.rtree_accesses
+            ier_stats.settled_vertices, ier_stats.euclidean_candidates, ier_stats.rtree_accesses
         );
+        if agg == Aggregate::Sum {
+            network_sum = Some(best);
+        }
     }
 
-    // Contrast with the Euclidean answer on the same configuration.
-    let tree = RTree::bulk_load(
-        RTreeParams::default(),
-        cafes
-            .iter()
-            .map(|&v| LeafEntry::new(PointId(u64::from(v.0)), city.position(v))),
-    );
+    // Contrast with the Euclidean answer on the same configuration, using
+    // the snapshot's café R-tree.
     let group = QueryGroup::sum(friends.iter().map(|&v| city.position(v)).collect()).unwrap();
-    let cursor = TreeCursor::unbuffered(&tree);
+    let cursor = TreeCursor::packed(snapshot.data_tree());
     let euclid = Mbm::best_first().k_gnn(&cursor, &group, 1);
     let e_best = euclid.best().unwrap();
-    let n_best = NetworkTa.k_gnn(&city, &cafes, &friends, 1, Aggregate::Sum);
+    let n_best = network_sum.expect("SUM ran first");
     println!(
         "\nEuclidean optimum: v{} (straight-line sum {:.2}); network optimum: v{} (walking sum {:.2}).",
-        e_best.id.0,
-        e_best.dist,
-        n_best.neighbors[0].vertex.0,
-        n_best.neighbors[0].dist
+        e_best.id.0, e_best.dist, n_best.id.0, n_best.dist
     );
     println!(
         "The straight-line sum always lower-bounds the walking sum — that is IER's pruning bound."

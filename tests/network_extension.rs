@@ -4,7 +4,7 @@
 //! topologies.
 
 use gnn::core::baseline::linear_scan_entries;
-use gnn::network::{network_oracle, NetworkIer, NetworkTa, RoadNetwork, VertexId};
+use gnn::network::{network_oracle, RoadNetwork, VertexId};
 use gnn::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,6 +21,35 @@ fn sample_vertices(g: &RoadNetwork, count: usize, seed: u64) -> Vec<VertexId> {
     picked.into_iter().map(VertexId).collect()
 }
 
+/// NET-TA and NET-IER SUM results on a snapshot of `g`.
+fn ta_and_ier(
+    g: &RoadNetwork,
+    data: &[VertexId],
+    query: &[VertexId],
+    k: usize,
+) -> (Vec<Neighbor>, Vec<Neighbor>) {
+    let snapshot = NetworkSnapshot::new(g.freeze(), data.to_vec());
+    let mut scratch = NetworkScratch::new();
+    let (ta, _) = NetworkTa.k_gnn_in(
+        snapshot.graph(),
+        snapshot.data(),
+        query,
+        k,
+        Aggregate::Sum,
+        &mut scratch,
+    );
+    let ta = ta.to_vec();
+    let (ier, _) = NetworkIer.k_gnn_in(
+        snapshot.graph(),
+        snapshot.data_tree(),
+        query,
+        k,
+        Aggregate::Sum,
+        &mut scratch,
+    );
+    (ta, ier.to_vec())
+}
+
 #[test]
 fn euclidean_gnn_lower_bounds_network_gnn() {
     // On the same data/query vertices, the Euclidean k-GNN distance is a
@@ -30,7 +59,7 @@ fn euclidean_gnn_lower_bounds_network_gnn() {
         let data = sample_vertices(&g, 60, seed + 100);
         let query = sample_vertices(&g, 4, seed + 200);
 
-        let net = NetworkTa.k_gnn(&g, &data, &query, 1, Aggregate::Sum);
+        let (net, _) = ta_and_ier(&g, &data, &query, 1);
         let tree = RTree::bulk_load(
             RTreeParams::default(),
             data.iter()
@@ -40,10 +69,10 @@ fn euclidean_gnn_lower_bounds_network_gnn() {
         let cursor = TreeCursor::unbuffered(&tree);
         let euclid = Mbm::best_first().k_gnn(&cursor, &group, 1);
         assert!(
-            euclid.best().unwrap().dist <= net.neighbors[0].dist + 1e-9,
+            euclid.best().unwrap().dist <= net[0].dist + 1e-9,
             "seed {seed}: euclid {} > network {}",
             euclid.best().unwrap().dist,
-            net.neighbors[0].dist
+            net[0].dist
         );
     }
 }
@@ -65,14 +94,14 @@ fn network_gnn_on_vertices_degenerates_to_euclidean_on_complete_graphs() {
     }
     let data: Vec<VertexId> = vs[..25].to_vec();
     let query: Vec<VertexId> = vs[25..30].to_vec();
-    let net = NetworkTa.k_gnn(&g, &data, &query, 3, Aggregate::Sum);
+    let (net, _) = ta_and_ier(&g, &data, &query, 3);
 
     let group = QueryGroup::sum(query.iter().map(|&v| g.position(v)).collect()).unwrap();
     let entries = data
         .iter()
         .map(|&v| LeafEntry::new(PointId(u64::from(v.0)), g.position(v)));
     let euclid = linear_scan_entries(entries, &group, 3);
-    for (n, e) in net.neighbors.iter().zip(euclid.distances()) {
+    for (n, e) in net.iter().zip(euclid.distances()) {
         assert!((n.dist - e).abs() < 1e-9, "{} vs {e}", n.dist);
     }
 }
@@ -96,11 +125,10 @@ proptest! {
         let data = sample_vertices(&g, n_data, seed + 1);
         let query = sample_vertices(&g, n_query, seed + 2);
         let want = network_oracle(&g, &data, &query, k, Aggregate::Sum);
-        let ta = NetworkTa.k_gnn(&g, &data, &query, k, Aggregate::Sum);
-        let ier = NetworkIer.k_gnn(&g, &data, &query, k, Aggregate::Sum);
-        prop_assert_eq!(ta.neighbors.len(), want.len());
-        prop_assert_eq!(ier.neighbors.len(), want.len());
-        for ((t, i), w) in ta.neighbors.iter().zip(&ier.neighbors).zip(&want) {
+        let (ta, ier) = ta_and_ier(&g, &data, &query, k);
+        prop_assert_eq!(ta.len(), want.len());
+        prop_assert_eq!(ier.len(), want.len());
+        for ((t, i), w) in ta.iter().zip(&ier).zip(&want) {
             prop_assert!((t.dist - w.dist).abs() < 1e-9 * (1.0 + w.dist));
             prop_assert!((i.dist - w.dist).abs() < 1e-9 * (1.0 + w.dist));
         }

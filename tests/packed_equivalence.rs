@@ -1,15 +1,14 @@
-//! Packed-vs-arena equivalence: every algorithm must return identical
-//! results — same ids, same distances — and perform the **same node
-//! accesses** on a [`PackedRTree`] snapshot as on the arena [`RTree`] it
-//! was frozen from.
-//!
-//! This is the contract that makes `freeze()` a pure performance lever: the
-//! packed engine's batched kernels, sorted leaf runs and strengthened point
-//! keys change per-point CPU and priority-queue traffic only, never the
-//! search trace. Exact distances are computed by the same
-//! (association-fixed) kernel on both paths, so even the float values are
-//! bit-identical.
+//! Storage equivalence: every algorithm runs one engine over the
+//! [`TreeCursor`]'s page view, whether the pages are the arena [`RTree`]'s
+//! (AoS) or the [`PackedRTree`] snapshot frozen from it (SoA). On both it
+//! must return identical results — same ids, same distance bits — and
+//! perform the **same node accesses**; that is the contract that makes
+//! `freeze()` a pure storage change. The memory-resident algorithms'
+//! distances are also checked bit for bit against the linear-scan oracle
+//! ([`linear_scan_entries`]): exact distances come from one
+//! association-fixed kernel, so no tolerance is needed.
 
+use gnn::core::baseline::linear_scan_entries;
 use gnn::core::QueryScratch;
 use gnn::prelude::*;
 use gnn::rtree::PackedRTree;
@@ -57,6 +56,30 @@ fn assert_same(
     Ok(())
 }
 
+/// Asserts `got` carries the oracle's distance bits (ids may differ only
+/// inside exact distance ties, so they are not compared).
+fn assert_oracle_bits(
+    name: &str,
+    got: &GnnResult,
+    oracle: &GnnResult,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        got.neighbors.len(),
+        oracle.neighbors.len(),
+        "{}: oracle result count",
+        name
+    );
+    for (g, w) in got.neighbors.iter().zip(&oracle.neighbors) {
+        prop_assert_eq!(
+            g.dist.to_bits(),
+            w.dist.to_bits(),
+            "{}: oracle distance",
+            name
+        );
+    }
+    Ok(())
+}
+
 fn aggregates() -> [Aggregate; 3] {
     [Aggregate::Sum, Aggregate::Max, Aggregate::Min]
 }
@@ -74,6 +97,7 @@ proptest! {
         let packed: PackedRTree = tree.freeze();
         for agg in aggregates() {
             let group = QueryGroup::with_aggregate(query.clone(), agg).unwrap();
+            let oracle = linear_scan_entries(tree.iter(), &group, k);
             let algos: Vec<(&str, Box<dyn MemoryGnnAlgorithm>)> = if agg == Aggregate::Sum {
                 vec![
                     ("MQM", Box::new(Mqm::new())),
@@ -101,6 +125,7 @@ proptest! {
                     &p,
                     pc.stats().logical,
                 )?;
+                assert_oracle_bits(name, &p, &oracle)?;
             }
         }
     }
@@ -187,6 +212,7 @@ proptest! {
                     &p,
                     pc.stats().logical,
                 )?;
+                assert_oracle_bits("MBM@boundary", &p, &linear_scan_entries(tree.iter(), &group, k))?;
             }
         }
     }

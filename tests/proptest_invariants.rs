@@ -2,6 +2,8 @@
 //!
 //! * every algorithm equals the linear-scan oracle on arbitrary inputs,
 //! * the paper's lemma and heuristics are genuine lower bounds,
+//! * the batched distance and tight-bound kernels are bit-identical to
+//!   their sequential-fold oracles,
 //! * the R*-tree keeps its structural invariants under arbitrary updates,
 //! * the Hilbert curve is a bijection with unit steps.
 
@@ -122,6 +124,35 @@ proptest! {
         prop_assert!(tight <= exact + 1e-7 * (1.0 + exact.abs()));
         // And the point-level filter bound is also a lower bound.
         prop_assert!(group.cheap_bound_point(p) <= exact + 1e-7 * (1.0 + exact.abs()));
+    }
+
+    #[test]
+    fn kernels_match_sequential_fold_oracles_bitwise(
+        members in prop::collection::vec((point(), 0.1..5.0f64), 1..70),
+        probes in prop::collection::vec((point(), point()), 1..8),
+    ) {
+        let (query, weights): (Vec<Point>, Vec<f64>) = members.into_iter().unzip();
+        let groups = [
+            QueryGroup::sum(query.clone()).unwrap(),
+            QueryGroup::weighted_sum(query.clone(), weights).unwrap(),
+            QueryGroup::with_aggregate(query.clone(), Aggregate::Max).unwrap(),
+            QueryGroup::with_aggregate(query, Aggregate::Min).unwrap(),
+        ];
+        for group in &groups {
+            for &(a, b) in &probes {
+                prop_assert_eq!(
+                    group.dist(a).to_bits(),
+                    group.dist_reference(a).to_bits(),
+                    "dist {:?} weighted={} at {:?}", group.aggregate(), group.is_weighted(), a
+                );
+                let rect = Rect::from_corners(a.x, a.y, b.x, b.y);
+                prop_assert_eq!(
+                    group.tight_bound_rect(&rect).to_bits(),
+                    group.tight_bound_rect_reference(&rect).to_bits(),
+                    "tight bound {:?} weighted={} on {:?}", group.aggregate(), group.is_weighted(), rect
+                );
+            }
+        }
     }
 
     #[test]
